@@ -23,7 +23,6 @@ use bytes::Bytes;
 use hvac_hash::pathhash::{hash_job_path, mix64};
 use hvac_hash::placement::{make_placement, Placement};
 use hvac_net::fabric::{Fabric, Reply};
-use hvac_net::pipeline::pipelined_fetch_pooled;
 use hvac_net::plan::{coalesce_plan, BatchItem, PlanEntry};
 use hvac_net::pool::BufferPool;
 use hvac_net::reassemble_bulk_pooled;
@@ -56,14 +55,9 @@ pub struct HvacClientOptions {
     /// Reads larger than this are split into chunk RPCs of at most this many
     /// bytes (Mercury's RDMA-sized bulk pieces).
     pub bulk_chunk: usize,
-    /// How many chunk RPCs of one read are kept in flight at once.
+    /// Dispatch workers in the client's [`SqPool`], which carries every
+    /// multi-RPC read (chunks and segment batches).
     pub bulk_window: usize,
-    /// Use the zero-copy data plane: pooled reassembly buffers on the read
-    /// hot path, plus coalesced + batched segment reads
-    /// ([`HvacClient::read_file_segmented`]). `false` pins the legacy
-    /// one-RPC-per-segment path — the baseline the latency harness compares
-    /// against.
-    pub zero_copy: bool,
     /// Adjacent same-home segments are merged into one read range of at most
     /// this many bytes (0 disables coalescing).
     pub coalesce_max: u64,
@@ -91,8 +85,7 @@ impl HvacClientOptions {
             instances_per_node,
             retry: RetryPolicy::default(),
             bulk_chunk: hvac_net::BULK_CHUNK_SIZE,
-            bulk_window: hvac_net::DEFAULT_PIPELINE_WINDOW,
-            zero_copy: true,
+            bulk_window: hvac_net::DEFAULT_SQ_DEPTH,
             coalesce_max: 1 << 20,
             batch_max: 16,
             job_id: JobId::from_env(),
@@ -133,6 +126,18 @@ struct ReplicaHealth {
     tripped_at: Option<Instant>,
 }
 
+/// How a multi-RPC read is planned and re-read (see
+/// [`HvacClient::read_planned`]).
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `bulk_chunk` pieces of one `pread`: `Read` RPCs on the file's
+    /// replica set. A chunk may come back short at EOF.
+    Chunks,
+    /// Coalesced ranges of `segment_size`-byte segments: `Batch` RPCs on
+    /// each segment's own replica set. A segment must come back whole.
+    Segments { segment_size: u64 },
+}
+
 /// How many stale-view redirects one logical RPC will chase before giving
 /// up. Each hop installs a strictly newer epoch, so more hops than this
 /// means the membership is churning faster than the client can follow.
@@ -159,10 +164,10 @@ pub struct HvacClient {
     /// every replica is exhausted. `None` = error out instead (the pre-§III-H
     /// behaviour, and the only option for pure-RPC embeddings).
     pfs_fallback: Option<Arc<dyn FileStore>>,
-    /// Slab pool for zero-copy reassembly: pipelined chunk buffers and
-    /// batched-read assembly recycle slabs instead of allocating per read.
+    /// Slab pool for reassembly: multi-RPC reads recycle slabs instead of
+    /// allocating per read.
     pool: BufferPool,
-    /// Persistent dispatch workers for batched segmented reads: every
+    /// Persistent dispatch workers for multi-RPC reads: every
     /// [`SubmissionQueue`] this client builds shares them, so the hot path
     /// never pays a per-read thread spawn.
     sq: SqPool,
@@ -589,7 +594,7 @@ impl HvacClient {
 
     /// Clamp a request to the size recorded at open time, so an oversized
     /// `len` (POSIX allows `read(fd, buf, SIZE_MAX)`) never plans an
-    /// absurd chunk pipeline — it just short-reads like the syscall would.
+    /// absurd chunk plan — it just short-reads like the syscall would.
     fn clamp_len(size: u64, offset: u64, len: usize) -> usize {
         len.min(size.saturating_sub(offset).try_into().unwrap_or(usize::MAX))
     }
@@ -696,7 +701,7 @@ impl HvacClient {
     /// full deadline/retry/failover/breaker treatment per chunk), degrading
     /// to direct PFS access for just this chunk when every replica is
     /// exhausted. Each chunk re-resolves its home through the current view,
-    /// so a membership change mid-pipeline redirects only the chunks that
+    /// so a membership change mid-read redirects only the chunks that
     /// actually hit a stale home. Counts only `degraded_reads`; the logical
     /// read's `reads`/`bytes` are accounted once by [`Self::read_path_at`].
     fn fetch_chunk(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
@@ -723,21 +728,16 @@ impl HvacClient {
         }
     }
 
-    /// One logical read: reads that fit in `bulk_chunk` issue a single RPC;
-    /// larger ones are pipelined as a bounded window of concurrent chunk
-    /// RPCs reassembled in offset order ([`pipelined_fetch_pooled`]). With
-    /// `zero_copy` on, the reassembly buffer comes from (and returns to)
-    /// the client's slab pool instead of the allocator.
+    /// One logical read (`pread`/`read`). A read that fits in `bulk_chunk`
+    /// is one RPC straight down the ladder ([`Self::fetch_chunk`]); a larger
+    /// one is tiled into `bulk_chunk` pieces and planned
+    /// ([`Self::read_planned`]).
     fn read_path_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
-        let pool = self.options.zero_copy.then_some(&self.pool);
-        let data = pipelined_fetch_pooled(
-            offset,
-            len,
-            self.options.bulk_chunk,
-            self.options.bulk_window,
-            |chunk_off, chunk_len| self.fetch_chunk(path, chunk_off, chunk_len),
-            pool,
-        )?;
+        let data = if len <= self.options.bulk_chunk {
+            self.fetch_chunk(path, offset, len)?
+        } else {
+            self.read_planned(path, offset, len as u64, Shape::Chunks)?
+        };
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .bytes
@@ -756,34 +756,9 @@ impl HvacClient {
         }
         let size = self.stat(path)?;
         self.metrics.opens.fetch_add(1, Ordering::Relaxed);
-        let data = if self.options.zero_copy {
-            self.read_segmented_batched(path, size, segment_size)?
-        } else {
-            self.read_segmented_sequential(path, size, segment_size)?
-        };
+        let data = self.read_planned(path, 0, size, Shape::Segments { segment_size })?;
         self.metrics.closes.fetch_add(1, Ordering::Relaxed);
         Ok(data)
-    }
-
-    /// The legacy segmented read: one `ReadSegment` RPC per segment, issued
-    /// sequentially through the full retry/failover/degrade ladder.
-    fn read_segmented_sequential(
-        &self,
-        path: &Path,
-        size: u64,
-        segment_size: u64,
-    ) -> Result<Bytes> {
-        let mut assembled = bytes::BytesMut::with_capacity(size as usize);
-        let mut offset = 0u64;
-        let mut seg_index = 0u64;
-        while offset < size {
-            let len = segment_size.min(size - offset);
-            let data = self.read_one_segment(path, seg_index, offset, len)?;
-            assembled.extend_from_slice(&data);
-            offset += len;
-            seg_index += 1;
-        }
-        Ok(assembled.freeze())
     }
 
     /// One segment through the per-segment ladder: `call_with_view` with the
@@ -844,135 +819,206 @@ impl HvacClient {
         }
     }
 
-    /// The zero-copy segmented read: plan → batch → submit.
+    /// The replica the ladder would try first: the first one whose breaker
+    /// is closed. `None` when every breaker is open — the ladder's
+    /// force-probe owns that case.
+    fn first_closed(&self, addrs: Vec<String>) -> Option<String> {
+        addrs.into_iter().find(|a| !self.breaker_open(a))
+    }
+
+    /// The multi-RPC read pipeline: plan → submit → ladder.
     ///
-    /// [`coalesce_plan`] merges adjacent same-home segments into contiguous
-    /// ranges (≤ `coalesce_max`), ranges are grouped per destination into
-    /// batches of ≤ `batch_max`, and every batch ships as **one**
-    /// [`Request::Batch`] RPC through the [`SubmissionQueue`] (up to
-    /// `bulk_window` in flight). Batches are all-or-nothing on the server;
-    /// any failed, stale, or malformed batch reply is re-read segment by
-    /// segment through [`Self::read_one_segment`] — the full ladder — so the
-    /// fast path never weakens fault tolerance.
-    fn read_segmented_batched(&self, path: &Path, size: u64, segment_size: u64) -> Result<Bytes> {
-        let path_str = path.to_str().ok_or_else(|| {
-            HvacError::Protocol(format!("non-UTF-8 path not supported: {}", path.display()))
-        })?;
+    /// 1. **Plan.** [`coalesce_plan`] tiles `[offset, offset + len)`.
+    ///    Chunks are `bulk_chunk` pieces of the read, all on the file's
+    ///    replica set; segments are coalesced runs of adjacent same-server
+    ///    segments (≤ `coalesce_max`), each on its own replica set. Every
+    ///    entry goes to the first replica whose breaker is closed.
+    /// 2. **Submit.** Each chunk is one `Read`; segment ranges are grouped
+    ///    per destination into `Batch`es of ≤ `batch_max`. All of them go
+    ///    through one [`SubmissionQueue`] on the client's persistent
+    ///    [`SqPool`] — no thread is spawned per read — as plain unhedged
+    ///    calls whose outcomes feed the breakers.
+    /// 3. **Ladder.** An entry whose RPC failed, answered `StaleView`, came
+    ///    back malformed or never completed — or that had no closed-breaker
+    ///    replica to go to — is re-read through its own ladder
+    ///    ([`Self::fetch_chunk`] / [`Self::read_entry_by_segments`]), which
+    ///    retries, fails over, hedges and degrades, so the fast path never
+    ///    weakens fault tolerance.
+    ///
+    /// Parts are reassembled in offset order into a slab from the client's
+    /// pool.
+    fn read_planned(&self, path: &Path, offset: u64, len: u64, shape: Shape) -> Result<Bytes> {
         let view = self.view.snapshot();
-        let plan: Vec<PlanEntry<String>> =
-            coalesce_plan(0, size, segment_size, self.options.coalesce_max, |seg| {
-                self.segment_replica_addrs_in(&view, path, seg)
-                    .into_iter()
-                    .next()
-                    .unwrap_or_default()
-            });
-        // Group plan entries by destination (order preserved) into batches
-        // of at most `batch_max` ranges each.
-        let mut batches: Vec<(String, Vec<usize>)> = Vec::new();
-        let mut open: HashMap<String, usize> = HashMap::new();
+        let plan: Vec<PlanEntry<Option<String>>> = match shape {
+            Shape::Chunks => {
+                // Tile relative to the read's own offset, so a read of n
+                // chunk lengths is n RPCs wherever it starts.
+                let dest = self.first_closed(self.replica_addrs_in(&view, path));
+                let mut plan =
+                    coalesce_plan(0, len, self.options.bulk_chunk as u64, 0, |_| dest.clone());
+                for entry in &mut plan {
+                    entry.offset += offset;
+                }
+                plan
+            }
+            Shape::Segments { segment_size } => coalesce_plan(
+                offset,
+                len,
+                segment_size,
+                self.options.coalesce_max,
+                |seg| self.first_closed(self.segment_replica_addrs_in(&view, path, seg)),
+            ),
+        };
+        // Group entries into RPCs (order preserved): a chunk is one `Read`,
+        // segment ranges share a `Batch` per destination.
+        let per_rpc = match shape {
+            Shape::Chunks => 1,
+            Shape::Segments { .. } => self.options.batch_max,
+        };
+        let mut rpcs: Vec<(&str, Vec<usize>)> = Vec::new();
+        let mut open: HashMap<&str, usize> = HashMap::new();
         for (i, entry) in plan.iter().enumerate() {
-            match open.get(&entry.dest) {
-                Some(&b) if batches[b].1.len() < self.options.batch_max => batches[b].1.push(i),
+            let Some(dest) = entry.dest.as_deref() else {
+                continue;
+            };
+            match open.get(dest) {
+                Some(&r) if rpcs[r].1.len() < per_rpc => rpcs[r].1.push(i),
                 _ => {
-                    batches.push((entry.dest.clone(), vec![i]));
-                    open.insert(entry.dest.clone(), batches.len() - 1);
+                    open.insert(dest, rpcs.len());
+                    rpcs.push((dest, vec![i]));
                 }
             }
         }
         let mut sq = SubmissionQueue::with_pool(&self.sq);
-        for (b, (dest, idxs)) in batches.iter().enumerate() {
-            let items: Vec<BatchItem> = idxs
-                .iter()
-                .map(|&i| BatchItem {
-                    path: path_str.to_string(),
-                    offset: plan[i].offset,
-                    len: plan[i].len,
-                })
-                .collect();
+        for (r, (dest, idxs)) in rpcs.iter().enumerate() {
+            let req = match shape {
+                Shape::Chunks => Request::Read {
+                    path: path.to_path_buf(),
+                    offset: plan[idxs[0]].offset,
+                    len: plan[idxs[0]].len,
+                },
+                Shape::Segments { .. } => {
+                    let path_str = path.to_str().ok_or_else(|| {
+                        HvacError::Protocol(format!(
+                            "non-UTF-8 path not supported: {}",
+                            path.display()
+                        ))
+                    })?;
+                    self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
+                    Request::Batch {
+                        items: idxs
+                            .iter()
+                            .map(|&i| BatchItem {
+                                path: path_str.to_string(),
+                                offset: plan[i].offset,
+                                len: plan[i].len,
+                            })
+                            .collect(),
+                    }
+                }
+            };
             sq.prep(SqEntry {
-                dest: dest.clone(),
-                payload: Request::Batch { items }.encode_ctx(view.epoch(), self.options.job_id)?,
+                dest: dest.to_string(),
+                payload: req.encode_ctx(view.epoch(), self.options.job_id)?,
                 deadline: self.options.retry.rpc_timeout,
-                user_data: b as u64,
+                user_data: r as u64,
             });
-            self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
         }
         let mut slots: Vec<Option<Bytes>> = vec![None; plan.len()];
-        // Completions come back in submission order (slot `b` answers batch
-        // `b`), which holds even for sentinel completions from a lost or
-        // timed-out dispatch, whose `user_data` is u64::MAX rather than a
-        // batch index — never index `batches` by `user_data`.
-        for (b, c) in sq.submit_and_wait().into_iter().enumerate() {
-            let Some((_, idxs)) = batches.get(b) else {
-                break;
-            };
-            debug_assert!(
-                c.result.is_err() || c.user_data == b as u64,
-                "completion {b} tagged {}",
-                c.user_data
-            );
-            let expected: Vec<u64> = idxs.iter().map(|&i| plan[i].len).collect();
-            match c
-                .result
-                .ok()
-                .and_then(|r| self.split_batch_reply(r, &expected))
-            {
+        // Completions come back in submission order, one per RPC — a lost
+        // dispatch too, as an error completion in its own slot.
+        for (c, (dest, idxs)) in sq.submit_and_wait().into_iter().zip(&rpcs) {
+            let parts = self
+                .settle(dest, c.result)
+                .and_then(|reply| self.split_reply(reply, shape, idxs, &plan));
+            match parts {
                 Some(parts) => {
                     for (&i, part) in idxs.iter().zip(parts) {
-                        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-                        self.metrics
-                            .bytes
-                            .fetch_add(part.len() as u64, Ordering::Relaxed);
+                        if let Shape::Segments { .. } = shape {
+                            // A segment read counts one read per range.
+                            self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+                            self.metrics
+                                .bytes
+                                .fetch_add(part.len() as u64, Ordering::Relaxed);
+                        }
                         slots[i] = Some(part);
                     }
                 }
                 None => {
-                    // The batch failed as a unit; re-read each of its ranges
-                    // segment by segment through the full ladder.
                     self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    for &i in idxs {
-                        slots[i] =
-                            Some(self.read_entry_by_segments(path, &plan[i], segment_size)?);
-                    }
                 }
             }
         }
-        let mut chunks = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(part) => chunks.push(part),
-                None => {
-                    // No completion ever surfaced for this range's batch
-                    // (abandoned submit, lost worker); re-read it through
-                    // the full ladder rather than failing the whole read.
-                    self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    chunks.push(self.read_entry_by_segments(path, &plan[i], segment_size)?);
+        let mut parts = Vec::with_capacity(plan.len());
+        for (entry, slot) in plan.iter().zip(slots) {
+            parts.push(match (slot, shape) {
+                (Some(part), _) => part,
+                (None, Shape::Chunks) => {
+                    self.fetch_chunk(path, entry.offset, entry.len as usize)?
                 }
-            }
+                (None, Shape::Segments { segment_size }) => {
+                    self.read_entry_by_segments(path, entry, segment_size)?
+                }
+            });
         }
         // lockgraph: acquires NET_POOL
-        Ok(reassemble_bulk_pooled(&chunks, &self.pool))
+        Ok(reassemble_bulk_pooled(&parts, &self.pool))
     }
 
-    /// Validate and split one batch reply into per-range payloads. Returns
-    /// `None` on anything other than a well-formed full answer — an error
-    /// reply, a stale view (installed here so the fallback re-resolves under
-    /// the newer epoch), a length mismatch — and the caller falls back.
-    fn split_batch_reply(&self, reply: Reply, expected: &[u64]) -> Option<Vec<Bytes>> {
-        match Response::decode(reply.header.clone()).ok()? {
-            Response::Batch { lens } => {
-                if lens.len() != expected.len() {
+    /// Feed one fast-path completion to `dest`'s breaker exactly as the
+    /// ladder feeds an attempt: a reply closes it, a transient error counts
+    /// towards tripping it (and a timeout towards `timeouts`). Returns the
+    /// reply, if any.
+    fn settle(&self, dest: &str, result: Result<Reply>) -> Option<Reply> {
+        match result {
+            Ok(reply) => {
+                self.record_success(dest);
+                Some(reply)
+            }
+            Err(e) => {
+                if matches!(e, HvacError::RpcTimeout { .. }) {
+                    self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                }
+                if e.is_retriable() {
+                    self.record_failure(dest);
+                } else {
+                    self.record_success(dest);
+                }
+                None
+            }
+        }
+    }
+
+    /// Validate and split one fast-path reply into the payloads of its
+    /// entries `idxs`. Returns `None` on anything other than a well-formed
+    /// full answer — an error reply, a stale view (installed here so the
+    /// ladder re-resolves under the newer epoch), a segment of the wrong
+    /// length, a chunk longer than asked — and the caller falls back. A
+    /// chunk may come back short at EOF; a segment never may.
+    fn split_reply<D>(
+        &self,
+        reply: Reply,
+        shape: Shape,
+        idxs: &[usize],
+        plan: &[PlanEntry<D>],
+    ) -> Option<Vec<Bytes>> {
+        let bulk = reply.bulk.unwrap_or_default();
+        match (Response::decode(reply.header).ok()?, shape) {
+            (Response::Data { .. }, Shape::Chunks) => {
+                (bulk.len() as u64 <= plan[idxs[0]].len).then(|| vec![bulk])
+            }
+            (Response::Batch { lens }, Shape::Segments { .. }) => {
+                if lens.len() != idxs.len() {
                     return None;
                 }
-                let bulk = reply.bulk.unwrap_or_default();
                 let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
                 if bulk.len() as u64 != total {
                     return None;
                 }
                 let mut parts = Vec::with_capacity(lens.len());
                 let mut at = 0usize;
-                for (j, &l) in lens.iter().enumerate() {
-                    if u64::from(l) != expected[j] {
+                for (&i, &l) in idxs.iter().zip(&lens) {
+                    if u64::from(l) != plan[i].len {
                         return None;
                     }
                     parts.push(bulk.slice(at..at + l as usize));
@@ -980,7 +1026,7 @@ impl HvacClient {
                 }
                 Some(parts)
             }
-            Response::StaleView { view } => {
+            (Response::StaleView { view }, _) => {
                 self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
                 self.view.install(Arc::new(view));
                 None
@@ -989,15 +1035,15 @@ impl HvacClient {
         }
     }
 
-    /// Fallback for one coalesced range: read its segments individually
+    /// Ladder for one coalesced range: read its segments individually
     /// through [`Self::read_one_segment`] (retry, failover, hedging, PFS
-    /// degrade — everything the legacy path has) and reassemble from the
-    /// slab pool. Ranges planned from offset 0 start on segment boundaries,
-    /// so each piece is exactly the segment the legacy path would cache.
-    fn read_entry_by_segments(
+    /// degrade) and reassemble from the slab pool. Ranges planned from
+    /// offset 0 start on segment boundaries, so each piece is exactly the
+    /// segment a one-segment read would cache.
+    fn read_entry_by_segments<D>(
         &self,
         path: &Path,
-        entry: &PlanEntry<String>,
+        entry: &PlanEntry<D>,
         segment_size: u64,
     ) -> Result<Bytes> {
         let mut chunks = Vec::new();
@@ -1404,6 +1450,27 @@ mod tests {
     }
 
     #[test]
+    fn multi_chunk_read_surfaces_the_ladder_error() {
+        let (_pfs, fabric, _servers, _client) = setup2(1);
+        let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
+        opts.bulk_chunk = 16;
+        let client = HvacClient::new(fabric.clone(), opts).unwrap();
+        let p = sample(4);
+        let fd = client.open(&p).unwrap();
+        let size = client.fd_size(fd).unwrap() as usize;
+        fabric.set_down(&client.replica_addrs(&p)[0], true);
+        // Every chunk RPC fails, every chunk falls back to its ladder, and
+        // with no PFS fallback armed the ladder's error is the read's.
+        assert!(matches!(
+            client.pread(fd, 0, size),
+            Err(HvacError::ServerDown(_))
+        ));
+        let s = client.metrics().full_snapshot();
+        assert_eq!(s.batch_fallbacks as usize, size.div_ceil(16), "{s:?}");
+        assert_eq!(s.reads, 0, "a failed read is not counted: {s:?}");
+    }
+
+    #[test]
     fn open_breakers_are_probed_before_degrading_to_pfs() {
         let (pfs, fabric, _servers, mut client) = setup_with(2, |o| {
             o.retry.rpc_timeout = Duration::from_millis(50);
@@ -1501,26 +1568,60 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_and_legacy_segmented_reads_agree() {
-        let (pfs, fabric, _servers, zc_client) = setup2(1);
-        let mut legacy_opts = HvacClientOptions::new("/gpfs/set", 3, 1);
-        legacy_opts.zero_copy = false;
-        let legacy_client = HvacClient::new(fabric, legacy_opts).unwrap();
+    fn segmented_reads_match_the_pfs_across_segment_sizes() {
+        let (pfs, _f, _s, client) = setup2(1);
         for i in 0..8 {
             let p = sample(i);
             let expected = pfs.read_all(&p).unwrap();
             for seg in [7u64, 16, 64, 1024] {
-                let zc = zc_client.read_file_segmented(&p, seg).unwrap();
-                let legacy = legacy_client.read_file_segmented(&p, seg).unwrap();
-                assert_eq!(zc, expected, "zero-copy path, segment {seg}");
-                assert_eq!(legacy, expected, "legacy path, segment {seg}");
+                let data = client.read_file_segmented(&p, seg).unwrap();
+                assert_eq!(data, expected, "file {i}, segment {seg}");
             }
         }
-        assert_eq!(
-            legacy_client.metrics().full_snapshot().batch_rpcs,
-            0,
-            "legacy arm never batches"
-        );
+        assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
+    }
+
+    #[test]
+    fn chunked_reads_match_the_pfs_at_any_offset_chunk_and_window() {
+        let (pfs, fabric, _servers, _client) = setup2(1);
+        for (chunk, window) in [(1usize, 1usize), (7, 2), (16, 4), (64, 1), (1000, 2)] {
+            let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
+            opts.bulk_chunk = chunk;
+            opts.bulk_window = window;
+            let client = HvacClient::new(fabric.clone(), opts).unwrap();
+            for i in [0u32, 3, 9] {
+                let p = sample(i);
+                let expected = pfs.read_all(&p).unwrap();
+                let size = expected.len() as u64;
+                let fd = client.open(&p).unwrap();
+                // Any offset and length, including reads that run past EOF
+                // and reads that start at or beyond it.
+                for offset in [0, 1, 5, size / 2, size - 1, size, size + 9] {
+                    for len in [0usize, 1, 6, 17, 63, 200, usize::MAX / 2] {
+                        let got = client.pread(fd, offset, len).unwrap();
+                        let want = pfs.read_at(&p, offset, len.min(1 << 20)).unwrap();
+                        assert_eq!(got, want, "chunk {chunk} window {window} @{offset}+{len}");
+                    }
+                }
+                // Sequential reads in odd sizes reassemble the whole file.
+                let mut whole = Vec::new();
+                loop {
+                    let part = client.read(fd, 23).unwrap();
+                    if part.is_empty() {
+                        break;
+                    }
+                    whole.extend_from_slice(&part);
+                }
+                assert_eq!(whole, expected, "chunk {chunk} window {window}");
+                client.close(fd).unwrap();
+            }
+            let s = client.metrics().full_snapshot();
+            assert_eq!(
+                s.batch_fallbacks, 0,
+                "healthy cluster never falls back: {s:?}"
+            );
+            assert_eq!(s.degraded_reads, 0, "{s:?}");
+        }
     }
 
     #[test]

@@ -70,15 +70,12 @@ pub struct ClusterOptions {
     /// file is exhausted (the §III-H degradation ladder's last rung). On by
     /// default — HVAC's contract is that the epoch completes.
     pub pfs_fallback: bool,
-    /// Bulk chunk size for client reads (reads larger than this are
-    /// pipelined as chunk RPCs).
+    /// Bulk chunk size for client reads (reads larger than this are split
+    /// into chunk RPCs kept in flight together).
     pub bulk_chunk: usize,
-    /// In-flight chunk RPC window per pipelined read.
+    /// Dispatch workers per client for multi-RPC reads (chunks and segment
+    /// batches).
     pub bulk_window: usize,
-    /// Zero-copy data plane for every client: pooled reassembly buffers
-    /// plus coalesced + batched segmented reads. Off = the legacy
-    /// one-RPC-per-segment baseline.
-    pub zero_copy: bool,
     /// Per-client cap on a coalesced read range (0 disables coalescing).
     pub coalesce_max: u64,
     /// Per-client cap on ranges per batch RPC.
@@ -136,8 +133,7 @@ impl ClusterOptions {
             retry: RetryPolicy::default(),
             pfs_fallback: true,
             bulk_chunk: hvac_net::BULK_CHUNK_SIZE,
-            bulk_window: hvac_net::DEFAULT_PIPELINE_WINDOW,
-            zero_copy: true,
+            bulk_window: hvac_net::DEFAULT_SQ_DEPTH,
             coalesce_max: 1 << 20,
             batch_max: 16,
             rebalance: true,
@@ -204,18 +200,12 @@ impl ClusterOptions {
         self
     }
 
-    /// Set the bulk chunk size and in-flight window for pipelined reads.
+    /// Set the bulk chunk size (reads larger than `chunk` become several
+    /// chunk RPCs) and the number of dispatch workers each client keeps for
+    /// multi-RPC reads.
     pub fn bulk_transfer(mut self, chunk: usize, window: usize) -> Self {
         self.bulk_chunk = chunk;
         self.bulk_window = window;
-        self
-    }
-
-    /// Enable or disable the zero-copy data plane (pooled buffers,
-    /// coalesced + batched segmented reads). `false` pins the legacy path —
-    /// the baseline arm of the latency harness.
-    pub fn zero_copy(mut self, enabled: bool) -> Self {
-        self.zero_copy = enabled;
         self
     }
 
@@ -282,8 +272,9 @@ impl ClusterOptions {
                 self.replication
             )));
         }
-        // A zero chunk or window would trip `pipelined_fetch`'s internal
-        // invariant deep in the read path; reject it at configuration time.
+        // A zero chunk would trip the read planner's invariant deep in the
+        // read path, and a zero window leaves no dispatch worker; reject
+        // both at configuration time.
         if self.bulk_chunk == 0 {
             return Err(HvacError::InvalidConfig("bulk_chunk must be >= 1".into()));
         }
@@ -358,7 +349,6 @@ impl Cluster {
                         retry: options.retry.clone(),
                         bulk_chunk: options.bulk_chunk,
                         bulk_window: options.bulk_window,
-                        zero_copy: options.zero_copy,
                         coalesce_max: options.coalesce_max,
                         batch_max: options.batch_max,
                         job_id: options.job_id,
@@ -677,7 +667,6 @@ impl Cluster {
                 retry: options.retry.clone(),
                 bulk_chunk: options.bulk_chunk,
                 bulk_window: options.bulk_window,
-                zero_copy: options.zero_copy,
                 coalesce_max: options.coalesce_max,
                 batch_max: options.batch_max,
                 job_id: job,
@@ -1049,9 +1038,9 @@ mod tests {
 
     #[test]
     fn zero_bulk_transfer_knobs_rejected_as_config_errors() {
-        // Regression: a zero chunk or window used to reach the assertion
-        // inside `pipelined_fetch` on the first large read; now both are
-        // typed `InvalidConfig` errors at construction time.
+        // Regression: a zero chunk or window used to reach an assertion deep
+        // in the read path on the first large read; now both are typed
+        // `InvalidConfig` errors at construction time.
         let pfs = dataset_pfs(1, 8);
         let chunk0 = ClusterOptions::new(2, 1).bulk_transfer(0, 4);
         assert!(matches!(

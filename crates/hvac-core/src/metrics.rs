@@ -431,11 +431,12 @@ pub struct ClientMetrics {
     pub hedges: AtomicU64,
     /// Hedged calls where the backup replica answered first.
     pub hedge_wins: AtomicU64,
-    /// Batch RPCs issued on the zero-copy read path (each bundling several
+    /// Batch RPCs issued by segmented reads (each bundling several
     /// coalesced segment ranges for one destination).
     pub batch_rpcs: AtomicU64,
-    /// Batches that failed (or returned malformed lengths) and were re-read
-    /// through the per-segment retry/failover ladder instead.
+    /// First-attempt RPCs of multi-RPC reads — segment batches and chunk
+    /// `Read`s — that failed (or answered stale or malformed) and whose
+    /// entries were re-read through their retry/failover ladder instead.
     pub batch_fallbacks: AtomicU64,
 }
 
@@ -470,9 +471,10 @@ pub struct ClientMetricsSnapshot {
     pub hedges: u64,
     /// Hedged calls won by the backup replica.
     pub hedge_wins: u64,
-    /// Batch RPCs issued on the zero-copy read path.
+    /// Batch RPCs issued by segmented reads.
     pub batch_rpcs: u64,
-    /// Batches re-read through the per-segment ladder after a failure.
+    /// Multi-RPC read attempts (batches and chunks) re-read through the
+    /// ladder after a failure.
     pub batch_fallbacks: u64,
 }
 

@@ -763,6 +763,8 @@ mod tests {
     use hvac_pfs::MemStore;
     use hvac_storage::LocalStore;
     use hvac_types::{ByteSize, EvictionPolicyKind};
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     fn setup(cap: u64) -> (Arc<MemStore>, Arc<HvacServer>) {
         let pfs = Arc::new(MemStore::new());
@@ -778,6 +780,46 @@ mod tests {
 
     fn sample(i: u32) -> PathBuf {
         PathBuf::from(format!("/data/sample_{i:08}.bin"))
+    }
+
+    /// A PFS whose data reads wait until the test opens the gate (bounded,
+    /// so a gate that is never opened fails an assertion instead of
+    /// hanging), holding the mover's copy in flight while racers arrive.
+    struct GatedStore {
+        inner: Arc<MemStore>,
+        open: AtomicBool,
+    }
+
+    impl GatedStore {
+        fn wait(&self) {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !self.open.load(Ordering::Acquire) && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl FileStore for GatedStore {
+        fn open_meta(&self, path: &Path) -> Result<hvac_pfs::FileMeta> {
+            self.inner.open_meta(path)
+        }
+        fn read_all(&self, path: &Path) -> Result<Bytes> {
+            self.wait();
+            self.inner.read_all(path)
+        }
+        fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+            self.wait();
+            self.inner.read_at(path, offset, len)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn list(&self, prefix: &Path) -> Result<Vec<PathBuf>> {
+            self.inner.list(prefix)
+        }
+        fn stats(&self) -> &hvac_pfs::StoreStats {
+            self.inner.stats()
+        }
     }
 
     #[test]
@@ -884,7 +926,18 @@ mod tests {
 
     #[test]
     fn concurrent_first_reads_copy_once() {
-        let (pfs, server) = setup(100_000);
+        let pfs = Arc::new(MemStore::new());
+        pfs.synthesize_dataset(Path::new("/data"), 16, |_| 100);
+        let gated = Arc::new(GatedStore {
+            inner: pfs.clone(),
+            open: AtomicBool::new(false),
+        });
+        let cache = Arc::new(CacheManager::new(
+            LocalStore::in_memory(ByteSize(100_000)),
+            make_policy(EvictionPolicyKind::Random, 1),
+        ));
+        let server =
+            HvacServer::new(cache, gated.clone(), HvacServerOptions::default(), "test").unwrap();
         let p = sample(5);
         let mut joins = Vec::new();
         for _ in 0..16 {
@@ -900,15 +953,22 @@ mod tests {
                 bulk.unwrap().len()
             }));
         }
+        // Hold the one copy in flight until the other 15 racers are parked
+        // on it (`dedup_waits` counts a waiter before it blocks).
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while server.metrics().snapshot().dedup_waits < 15 && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gated.open.store(true, Ordering::Release);
         for j in joins {
             assert_eq!(j.join().unwrap(), 100);
         }
         let snap = server.metrics().snapshot();
         assert_eq!(snap.pfs_copies, 1, "exactly one PFS copy under racing");
         assert_eq!(pfs.stats().snapshot().1, 1);
-        assert!(
-            snap.dedup_waits > 0,
-            "racers piggybacked on the in-flight copy"
+        assert_eq!(
+            snap.dedup_waits, 15,
+            "every other racer piggybacked on the in-flight copy"
         );
     }
 

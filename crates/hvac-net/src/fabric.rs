@@ -242,7 +242,7 @@ impl Fabric {
     ///
     /// `workers == 0` is a configuration error: a worker-less endpoint
     /// would accept requests that can never be answered, so it is rejected
-    /// up front (mirroring the zero `bulk_chunk`/`bulk_window` treatment)
+    /// up front (as the client rejects a zero `bulk_chunk`/`bulk_window`)
     /// instead of being silently clamped to 1.
     pub fn serve(
         self: &Arc<Self>,

@@ -18,6 +18,10 @@
 //!    (which rides inside the ordinary request framing of
 //!    [`framing`](crate::framing)).
 //!
+//! The same planner tiles a large whole-file read into `bulk_chunk` chunk
+//! RPCs: a constant destination with merging disabled (a cap of 0) yields
+//! one entry per chunk.
+//!
 //! Planning is pure computation over offsets — no I/O, no locks — which is
 //! what makes it property-testable: for arbitrary segment maps the plan
 //! must tile the request exactly and the codec must round-trip.
@@ -54,8 +58,8 @@ pub struct PlanEntry<D> {
 /// one segment) disables merging rather than producing empty ranges.
 ///
 /// `len == 0` yields an empty plan. Panics if `segment_size` is zero or the
-/// range end overflows `u64` (the caller validates its options, mirroring
-/// `pipelined_fetch`).
+/// range end overflows `u64` (the client rejects a zero `bulk_chunk` or
+/// segment size before it plans).
 pub fn coalesce_plan<D, F>(
     offset: u64,
     len: u64,

@@ -64,8 +64,7 @@ pub struct SocketConfig {
     /// Per-frame body cap enforced by every encoder and decoder.
     pub max_frame: usize,
     /// Slab pool backing frame reads and reply encodes on this fabric;
-    /// `None` falls back to per-frame heap allocation (the legacy path,
-    /// kept for the zero-copy-off benchmark arm and differential tests).
+    /// `None` falls back to per-frame heap allocation.
     pub pool: Option<BufferPool>,
 }
 

@@ -34,8 +34,9 @@ use std::time::{Duration, Instant};
 
 use crate::fabric::{Fabric, Reply};
 
-/// Default number of in-flight RPCs per `submit_and_wait`.
-pub const DEFAULT_SQ_DEPTH: usize = 8;
+/// Default number of dispatch workers in a client's [`SqPool`] (the
+/// client's `bulk_window`).
+pub const DEFAULT_SQ_DEPTH: usize = 4;
 
 /// One prepared RPC: `payload` to `dest`, answered within `deadline`.
 #[derive(Debug, Clone)]

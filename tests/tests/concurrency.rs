@@ -3,14 +3,57 @@
 //! to avoid repeated copying") must hold under real races, and no bytes may
 //! be corrupted.
 
+use bytes::Bytes;
 use hvac_core::cluster::{Cluster, ClusterOptions};
-use hvac_pfs::{FileStore, MemStore};
-use hvac_types::ByteSize;
+use hvac_pfs::{FileMeta, FileStore, MemStore, StoreStats};
+use hvac_types::{ByteSize, Result};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn sample(i: u64) -> PathBuf {
     PathBuf::from(format!("/gpfs/train/sample_{i:08}.bin"))
+}
+
+/// A PFS whose data reads wait until the test opens the gate (bounded, so
+/// a gate that is never opened fails an assertion instead of hanging),
+/// holding the first copy in flight while racing ranks arrive.
+struct GatedStore {
+    inner: Arc<MemStore>,
+    open: AtomicBool,
+}
+
+impl GatedStore {
+    fn wait(&self) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !self.open.load(Ordering::Acquire) && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+impl FileStore for GatedStore {
+    fn open_meta(&self, path: &Path) -> Result<FileMeta> {
+        self.inner.open_meta(path)
+    }
+    fn read_all(&self, path: &Path) -> Result<Bytes> {
+        self.wait();
+        self.inner.read_all(path)
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+        self.wait();
+        self.inner.read_at(path, offset, len)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, prefix: &Path) -> Result<Vec<PathBuf>> {
+        self.inner.list(prefix)
+    }
+    fn stats(&self) -> &StoreStats {
+        self.inner.stats()
+    }
 }
 
 #[test]
@@ -18,9 +61,13 @@ fn racing_ranks_fetch_each_file_exactly_once() {
     let n_files = 32u64;
     let pfs = Arc::new(MemStore::new());
     pfs.synthesize_dataset(Path::new("/gpfs/train"), n_files, |_| 2048);
+    let gated = Arc::new(GatedStore {
+        inner: pfs.clone(),
+        open: AtomicBool::new(false),
+    });
     let cluster = Arc::new(
         Cluster::new(
-            pfs.clone(),
+            gated.clone(),
             ClusterOptions::new(4, 2)
                 .dataset_dir("/gpfs/train")
                 .clients_per_node(2),
@@ -42,6 +89,13 @@ fn racing_ranks_fetch_each_file_exactly_once() {
             }
         }));
     }
+    // Every rank starts on file 0: hold its copy in flight until a racer
+    // has parked on it (`dedup_waits` counts a waiter before it blocks).
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while cluster.aggregate_metrics().dedup_waits == 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gated.open.store(true, Ordering::Release);
     for j in joins {
         j.join().unwrap();
     }

@@ -1,15 +1,17 @@
-//! Differential hot-path tier: the zero-copy data plane (pooled buffers,
-//! coalesced ranges, batched RPCs) and the legacy path must be
-//! byte-identical for **every read shape** — whole-file, pipelined bulk,
-//! segmented, coalesced, batched — on every transport, clean and under
-//! drop/delay/crash faults.
+//! Differential hot-path tier: **every read shape** — whole-file, multi-chunk
+//! bulk, segmented, coalesced, batched — must be byte-exact on every
+//! transport, clean and under drop/delay/crash faults.
 //!
+//! Whole-file reads run on two arms: the one-RPC arm (default 1 MiB chunks,
+//! so every read here is a single RPC down the replica ladder) and the
+//! planned arm (8 KiB chunks, so larger files become chunk RPCs through the
+//! read planner and submission queue). Segmented reads are planned on both.
 //! Every assertion compares three ways: against the synthesized ground
 //! truth, and between the two arms, so a bug that corrupts both arms the
 //! same way still trips the ground-truth check.
 
 use hvac_core::cluster::{Cluster, ClusterOptions};
-use hvac_net::FaultSpec;
+use hvac_net::{FaultSpec, BULK_CHUNK_SIZE};
 use hvac_pfs::MemStore;
 use hvac_types::{RetryPolicy, TransportKind};
 use std::path::{Path, PathBuf};
@@ -28,6 +30,9 @@ const SIZES: [usize; 6] = [
     96 * 1024,
     256 * 1024 + 12_345,
 ];
+
+/// `(name, bulk_chunk)` of the two whole-file arms.
+const ARMS: [(&str, usize); 2] = [("one-rpc", BULK_CHUNK_SIZE), ("planned", 8 * 1024)];
 
 const TRANSPORTS: [TransportKind; 3] = [
     TransportKind::Loopback,
@@ -49,7 +54,7 @@ fn dataset() -> Arc<MemStore> {
 
 fn build(
     transport: TransportKind,
-    zero_copy: bool,
+    bulk_chunk: usize,
     tweak: impl FnOnce(ClusterOptions) -> ClusterOptions,
 ) -> (Arc<MemStore>, Cluster) {
     let pfs = dataset();
@@ -57,7 +62,7 @@ fn build(
         ClusterOptions::new(4, 1)
             .dataset_dir("/gpfs/train")
             .transport(transport)
-            .zero_copy(zero_copy),
+            .bulk_transfer(bulk_chunk, 4),
     );
     let cluster = Cluster::new(pfs.clone(), options).unwrap();
     (pfs, cluster)
@@ -86,26 +91,27 @@ fn read_all(cluster: &Cluster, rank: usize, tag: &str) -> Vec<(Vec<u8>, Vec<u8>)
         .collect()
 }
 
-/// Clean differential sweep: whole-file + pipelined bulk (8 KiB chunks) +
-/// segmented (coalesced/batched vs sequential) on every transport.
+/// Clean differential sweep: whole-file (one RPC vs 8 KiB chunk RPCs) +
+/// segmented (coalesced and batched) on every transport.
 #[test]
 fn all_read_shapes_agree_across_arms_and_transports() {
     for transport in TRANSPORTS {
-        // Small bulk chunks force the pipelined multi-chunk path on
-        // whole-file reads; segmented reads batch per destination.
-        let (_p1, zc) = build(transport, true, |o| o.bulk_transfer(8 * 1024, 4));
-        let (_p2, legacy) = build(transport, false, |o| o.bulk_transfer(8 * 1024, 4));
-        let a = read_all(&zc, 0, &format!("{transport:?}/zero-copy"));
-        let b = read_all(&legacy, 0, &format!("{transport:?}/legacy"));
+        let (_p1, one_rpc) = build(transport, ARMS[0].1, |o| o);
+        let (_p2, planned) = build(transport, ARMS[1].1, |o| o);
+        let a = read_all(&one_rpc, 0, &format!("{transport:?}/one-rpc"));
+        let b = read_all(&planned, 0, &format!("{transport:?}/planned"));
         assert_eq!(a, b, "{transport:?}: arms disagree");
+        for cluster in [&one_rpc, &planned] {
+            assert!(
+                cluster.client(0).metrics().full_snapshot().batch_rpcs >= 1,
+                "{transport:?}: segmented reads never batched"
+            );
+        }
+        // Same segmented reads on both arms, so the extra server reads are
+        // the planned arm's chunk RPCs.
         assert!(
-            zc.client(0).metrics().full_snapshot().batch_rpcs >= 1,
-            "{transport:?}: zero-copy arm never batched"
-        );
-        assert_eq!(
-            legacy.client(0).metrics().full_snapshot().batch_rpcs,
-            0,
-            "{transport:?}: legacy arm must not batch"
+            planned.aggregate_metrics().reads > one_rpc.aggregate_metrics().reads,
+            "{transport:?}: the planned arm never split a read into chunks"
         );
     }
 }
@@ -117,19 +123,19 @@ fn all_read_shapes_agree_across_arms_and_transports() {
 fn coalesced_single_destination_reads_are_exact() {
     for transport in TRANSPORTS {
         let pfs = dataset();
-        let mk = |zero_copy| {
+        let mk = |bulk_chunk| {
             Cluster::new(
                 pfs.clone(),
                 ClusterOptions::new(1, 1)
                     .dataset_dir("/gpfs/train")
                     .transport(transport)
-                    .zero_copy(zero_copy),
+                    .bulk_transfer(bulk_chunk, 4),
             )
             .unwrap()
         };
-        let (zc, legacy) = (mk(true), mk(false));
-        let a = read_all(&zc, 0, &format!("{transport:?}/coalesced/zero-copy"));
-        let b = read_all(&legacy, 0, &format!("{transport:?}/coalesced/legacy"));
+        let (one_rpc, planned) = (mk(ARMS[0].1), mk(ARMS[1].1));
+        let a = read_all(&one_rpc, 0, &format!("{transport:?}/coalesced/one-rpc"));
+        let b = read_all(&planned, 0, &format!("{transport:?}/coalesced/planned"));
         assert_eq!(a, b, "{transport:?}: single-node arms disagree");
     }
 }
@@ -139,10 +145,10 @@ fn coalesced_single_destination_reads_are_exact() {
 #[test]
 fn batched_reads_with_coalescing_disabled_are_exact() {
     for transport in TRANSPORTS {
-        let (_p1, zc) = build(transport, true, |o| o.coalesce_batch(0, 2));
-        let (_p2, legacy) = build(transport, false, |o| o.coalesce_batch(0, 2));
-        let a = read_all(&zc, 1, &format!("{transport:?}/batched/zero-copy"));
-        let b = read_all(&legacy, 1, &format!("{transport:?}/batched/legacy"));
+        let (_p1, one_rpc) = build(transport, ARMS[0].1, |o| o.coalesce_batch(0, 2));
+        let (_p2, planned) = build(transport, ARMS[1].1, |o| o.coalesce_batch(0, 2));
+        let a = read_all(&one_rpc, 1, &format!("{transport:?}/batched/one-rpc"));
+        let b = read_all(&planned, 1, &format!("{transport:?}/batched/planned"));
         assert_eq!(a, b, "{transport:?}: batching arms disagree");
     }
 }
@@ -176,14 +182,14 @@ fn arm_drop_delay(cluster: &Cluster) {
     }
 }
 
-/// Drop + delay faults on every endpoint: the zero-copy arm's batch RPCs
-/// fail probabilistically and must fall back to the per-segment ladder
-/// without ever returning wrong bytes.
+/// Drop + delay faults on every endpoint: batch and chunk RPCs fail
+/// probabilistically and must fall back to their ladders without ever
+/// returning wrong bytes.
 #[test]
 fn drop_and_delay_faults_stay_byte_exact_on_both_arms() {
     for transport in TRANSPORTS {
-        for zero_copy in [true, false] {
-            let (_pfs, cluster) = build(transport, zero_copy, |o| {
+        for (arm, bulk_chunk) in ARMS {
+            let (_pfs, cluster) = build(transport, bulk_chunk, |o| {
                 o.replication(2).retry_policy(fault_retry())
             });
             // Warm pass (clean) so the dataset is cached, then arm faults.
@@ -193,7 +199,7 @@ fn drop_and_delay_faults_stay_byte_exact_on_both_arms() {
                 read_all(
                     &cluster,
                     pass % 2,
-                    &format!("{transport:?}/faulted/zc={zero_copy}/pass{pass}"),
+                    &format!("{transport:?}/faulted/{arm}/pass{pass}"),
                 );
             }
             assert!(
@@ -209,8 +215,8 @@ fn drop_and_delay_faults_stay_byte_exact_on_both_arms() {
 #[test]
 fn crash_faults_stay_byte_exact_on_both_arms() {
     for transport in TRANSPORTS {
-        for zero_copy in [true, false] {
-            let (_pfs, cluster) = build(transport, zero_copy, |o| {
+        for (arm, bulk_chunk) in ARMS {
+            let (_pfs, cluster) = build(transport, bulk_chunk, |o| {
                 o.replication(2).retry_policy(fault_retry()).repair(false)
             });
             read_all(&cluster, 0, &format!("{transport:?}/pre-crash"));
@@ -219,15 +225,11 @@ fn crash_faults_stay_byte_exact_on_both_arms() {
                 read_all(
                     &cluster,
                     pass,
-                    &format!("{transport:?}/crashed/zc={zero_copy}/pass{pass}"),
+                    &format!("{transport:?}/crashed/{arm}/pass{pass}"),
                 );
             }
             cluster.restart_node(1).unwrap();
-            read_all(
-                &cluster,
-                1,
-                &format!("{transport:?}/post-restart/zc={zero_copy}"),
-            );
+            read_all(&cluster, 1, &format!("{transport:?}/post-restart/{arm}"));
         }
     }
 }

@@ -180,3 +180,81 @@ fn dropped_requests_fail_over_like_hangs() {
     assert!(s.timeouts > 0, "drops surface as deadline misses: {s:?}");
     assert_eq!(s.degraded_reads, 0, "the healthy replica carries the load");
 }
+
+/// Once a hung home's breaker is open, multi-RPC reads must route around
+/// it like every other call: the read planner addresses each segment range
+/// and each chunk to the first replica whose breaker is closed, so no later
+/// segmented or multi-chunk read waits out the hung server's deadline.
+#[test]
+fn open_breakers_route_multi_rpc_reads_around_a_hung_home() {
+    let deadline = Duration::from_millis(200);
+    let pfs = Arc::new(MemStore::new());
+    pfs.synthesize_dataset(Path::new("/gpfs/train"), N_FILES, |_| FILE_SIZE);
+    let cluster = Cluster::new(
+        pfs,
+        ClusterOptions::new(3, 1)
+            .dataset_dir("/gpfs/train")
+            .replication(2)
+            // 64-byte chunks: every whole-file read is four chunk RPCs.
+            .bulk_transfer(64, 4)
+            .retry_policy(RetryPolicy {
+                rpc_timeout: deadline,
+                max_attempts: 1,
+                breaker_threshold: 1,
+                breaker_cooldown: Duration::from_secs(600),
+                ..tight_retry()
+            }),
+    )
+    .unwrap();
+    cluster
+        .fabric()
+        .fault_injector()
+        .set(&server_addr(0, 1), FaultSpec::always_hang(13));
+    let client = cluster.client(1);
+    let segment = 32;
+
+    // The first reads that touch the hung home trip its breaker.
+    for i in 0..N_FILES {
+        let expected = MemStore::sample_content(i, FILE_SIZE);
+        assert_eq!(
+            client.read_file_segmented(&sample(i), segment).unwrap(),
+            expected
+        );
+        assert_eq!(client.read_file(&sample(i)).unwrap(), expected);
+    }
+    let tripped = client.metrics().full_snapshot();
+    assert!(
+        tripped.breaker_trips >= 1,
+        "the hung home tripped: {tripped:?}"
+    );
+
+    for i in 0..N_FILES {
+        let expected = MemStore::sample_content(i, FILE_SIZE);
+        let start = Instant::now();
+        let segmented = client.read_file_segmented(&sample(i), segment).unwrap();
+        let took = start.elapsed();
+        assert_eq!(segmented, expected, "segmented read of file {i}");
+        assert!(
+            took < deadline / 2,
+            "segmented read of file {i} took {took:?}: it waited on an open breaker"
+        );
+        let start = Instant::now();
+        let whole = client.read_file(&sample(i)).unwrap();
+        let took = start.elapsed();
+        assert_eq!(whole, expected, "multi-chunk read of file {i}");
+        assert!(
+            took < deadline / 2,
+            "multi-chunk read of file {i} took {took:?}: it waited on an open breaker"
+        );
+    }
+    let s = client.metrics().full_snapshot();
+    assert_eq!(
+        s.timeouts, tripped.timeouts,
+        "no deadline after the trip: {s:?}"
+    );
+    assert!(s.breaker_skips > tripped.breaker_skips, "{s:?}");
+    assert_eq!(
+        s.degraded_reads, 0,
+        "the live replica carries the load: {s:?}"
+    );
+}
